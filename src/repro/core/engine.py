@@ -24,7 +24,7 @@ a job may start on a subset of the hardware (``active`` /
 events (or the saturation-driven
 :class:`~repro.core.membership.ElasticController`) activate standbys
 mid-map — the joiner registers with the scheduler and starts pulling
-queued splits through the ordinary ``next_for`` seam — while
+queued splits through the ordinary ``pool_acquire`` seam — while
 ``NodeLeave`` events drain actives through the same recovery wave a
 crash uses (but with their durable spill still readable).  The control
 plane itself is a replicated
@@ -335,7 +335,6 @@ class JobExecution:
                 costs=costs)
             for i in active_ids
         }
-        self._pooled_map = pooled_map = len(map_kinds) > 1
         active_set = set(active_ids)
         self.map_phases_by_node: List[List[MapPhase]] = [
             ([MapPhase(sim, cluster[i], self.device_objs[i][kind], app,
@@ -343,7 +342,6 @@ class JobExecution:
                        managers=managers, network=cluster.network,
                        costs=costs, faults=faults, health=health,
                        registry=registry, speculation=self.speculation,
-                       device_key=kind.value if pooled_map else None,
                        meter=self.meter)
               for kind in map_kinds]
              if i in active_set else [])
@@ -510,8 +508,6 @@ class JobExecution:
                            faults=self.faults, health=health,
                            registry=self.registry,
                            speculation=self.speculation,
-                           device_key=(kind.value if self._pooled_map
-                                       else None),
                            meter=self.meter)
                   for kind in self.map_kinds]
         self.map_phases_by_node[node] = phases
@@ -632,17 +628,10 @@ class JobExecution:
                 # (unless recovery rehomed some to it): map/merge help
                 # only, nothing to reduce.
                 continue
-            if len(self.reduce_kinds) == 1:
-                scheduler.place_reduce(i, managers[i].owned)
-                reduce_phases.append(ReducePhase(
-                    sim, cluster[i],
-                    self.device_objs[i][self.reduce_kinds[0]], self.app,
-                    config, self.backend, timeline, managers[i],
-                    costs=self.costs, faults=self.faults))
-                continue
             # Device pool: split the node's partitions across its devices
             # proportionally to their speed (each partition's merged data
-            # is node-local either way, so this is a pure compute split).
+            # is node-local either way, so this is a pure compute split;
+            # a single device takes them all).
             shares = _partition_pids(
                 list(managers[i].owned),
                 [(kind, self.device_objs[i][kind].spec.gflops)
@@ -806,9 +795,11 @@ def _partition_pids(pids: List[int], devices: List[Tuple[DeviceKind, float]]
     """Split a node's partitions across its device pool proportionally to
     device speed: each pid goes to the device whose *per-speed* load
     after taking it is smallest (ties broken by pool order), so a 20x
-    faster device ends up with ~20x the partitions."""
+    faster device ends up with ~20x the partitions.  Pids keep their
+    given order: recovery appends adopted partitions to the end of a
+    survivor's owned list, and they are reduced last."""
     shares: Dict[DeviceKind, List[int]] = {kind: [] for kind, _ in devices}
-    for pid in sorted(pids):
+    for pid in pids:
         kind = min(
             ((kind, speed, order)
              for order, (kind, speed) in enumerate(devices)),

@@ -36,7 +36,6 @@ so re-execution never duplicates data.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field, replace
 from typing import Dict, Generator, List, Optional, Tuple
 
@@ -90,13 +89,12 @@ class MapPhase:
                  scheduler: Scheduler,
                  managers: Dict[int, IntermediateManager],
                  network: Network,
+                 health: ClusterHealth,
+                 registry: ShuffleRegistry,
                  costs: HostCosts = DEFAULT_HOST_COSTS,
                  faults: FaultPlan | None = None,
-                 health: ClusterHealth | None = None,
-                 registry: ShuffleRegistry | None = None,
                  speculation: Optional["SpeculationController"] = None,
                  recovery: bool = False,
-                 device_key: Optional[str] = None,
                  meter=None):
         self.sim = sim
         self.node = node
@@ -108,7 +106,6 @@ class MapPhase:
         self.scheduler = scheduler
         self.managers = managers          # node_id -> manager (all nodes)
         self.network = network
-        self.n_nodes = len(managers)
         self.costs = costs
         self.faults = faults
         self.health = health
@@ -117,10 +114,12 @@ class MapPhase:
         self.recovery = recovery
         #: optional per-tenant TrafficMeter threading through every push
         self.meter = meter
-        # ``device_key`` marks this pipeline as one member of a multi-
-        # device pool: work is then acquired through the scheduler's
-        # waiting-capable pool gate instead of the plain per-node pull.
-        self.device_key = device_key
+        # Every pipeline is one member of its node's device pool (a
+        # single device is a pool of one) and acquires work through the
+        # scheduler's pool gate.
+        self.pool_key = device.spec.kind.value
+        scheduler.register_device(node.node_id, self.pool_key,
+                                  device.spec.gflops)
         self.phase_kind = "recovery" if recovery else "map"
         self._splits_by_index: Dict[int, Split] = {}
         self.push_procs: List = []        # in-flight remote pushes
@@ -147,35 +146,12 @@ class MapPhase:
                         device, config.chunk_size,
                         name=f"{node.name}.map.{group}{i}"))
         name = "map.recovery" if recovery else "map"
-        if device_key is None:
-            # Classic shape: one pipeline per node, pulling splits from
-            # the scheduler as the input stage becomes ready for them.
-            items = self._feed()
-            read_fn = self._read
-        else:
-            # Device pool: the read body itself negotiates with the
-            # scheduler's pool gate (it may wait, or end the stream).
-            scheduler.register_device(node.node_id, device_key,
-                                      device.spec.gflops)
-            items = itertools.count()
-            read_fn = self._read_pooled
         self.pipeline = Pipeline(
             sim, timeline, name=name, instance=node.name,
-            buffering=config.buffering, items=items,
-            read_fn=read_fn, kernel_fn=self._kernel,
+            buffering=config.buffering, pull_fn=self._pull,
+            read_fn=self._read, kernel_fn=self._kernel,
             output_fn=self._partition,
             stage_fn=stage_fn, retrieve_fn=retrieve_fn)
-
-    def _feed(self):
-        """Lazy work acquisition: ask the scheduler for the next split
-        only when the input stage is ready to read it."""
-        while True:
-            split = self.scheduler.next_for(self.node.node_id,
-                                            self.phase_kind)
-            if split is None:
-                return
-            self._splits_by_index[split.index] = split
-            yield split
 
     def release_buffers(self) -> None:
         """Free the phase's device buffers (the engine calls this when
@@ -197,16 +173,15 @@ class MapPhase:
                 proc.interrupt("node crash")
 
     # -- stage bodies ------------------------------------------------------
-    def _read_pooled(self, _seq: int) -> Generator:
-        """Input body for one device of a multi-device pool: acquire the
-        next operation through the scheduler's gate (which may wait for
-        in-flight work to drain, or retire this device)."""
+    def _pull(self) -> Generator:
+        """Acquire the next split through the scheduler's pool gate, which
+        may wait for in-flight work to drain or retire this device."""
         split = yield from self.scheduler.pool_acquire(
-            self.node.node_id, self.device_key, self.phase_kind)
+            self.node.node_id, self.pool_key, self.phase_kind)
         if split is None:
             return Pipeline.END
         self._splits_by_index[split.index] = split
-        return (yield from self._read(split))
+        return split
 
     def _read(self, split: Split) -> Generator:
         records, nbytes = yield from read_split_records(
@@ -390,8 +365,7 @@ class MapPhase:
         """
         cfg = self.config
         registry = self.registry
-        total_partitions = (registry.total_partitions if registry is not None
-                            else self.n_nodes * cfg.partitions_per_node)
+        total_partitions = registry.total_partitions
         split_index = out.chunk_index
         single = out.seq == 0 and out.last
         # Real work: bucket the pairs (into the split accumulator when
@@ -443,42 +417,36 @@ class MapPhase:
         yield from self.node.disk.write(stored_total, stream="spill")
         runs = {pid: SortedRun(pairs, self.app.inter_schema.size_of(pairs))
                 for pid, pairs in sorted(buckets.items())}
-        if registry is not None:
-            registry.mark_durable(self.node.node_id, split_index, runs)
-            # Empty buckets are vacuously delivered — without an entry the
-            # recovery planner would re-execute a fully delivered split.
-            for pid in range(total_partitions):
-                if pid not in runs:
-                    registry.mark_delivered(split_index, pid,
-                                            registry.owner_of(pid))
+        registry.mark_durable(self.node.node_id, split_index, runs)
+        # Empty buckets are vacuously delivered — without an entry the
+        # recovery planner would re-execute a fully delivered split.
+        for pid in range(total_partitions):
+            if pid not in runs:
+                registry.mark_delivered(split_index, pid,
+                                        registry.owner_of(pid))
         # Push each Partition to its owner.  Pushes to the same peer are
         # batched into one message per chunk (one socket per peer), and
         # they run asynchronously: the pipeline's output stage does not
         # wait for the network.
         remote: Dict[int, List[tuple[int, SortedRun]]] = {}
         for pid, run in runs.items():
-            if (self.recovery and registry is not None
-                    and self.health is not None
-                    and registry.delivered_to_live(split_index, pid,
-                                                   self.health.alive)):
+            if self.recovery and registry.delivered_to_live(
+                    split_index, pid, self.health.alive):
                 continue    # this bucket survived the crash; don't duplicate
-            owner = (registry.owner_of(pid) if registry is not None
-                     else pid % self.n_nodes)
+            owner = registry.owner_of(pid)
             if owner == self.node.node_id:
                 self.managers[owner].add_run(pid, run)
-                if registry is not None:
-                    registry.mark_delivered(split_index, pid, owner)
+                registry.mark_delivered(split_index, pid, owner)
             else:
                 remote.setdefault(owner, []).append((pid, run))
         if remote:
             self.push_procs.append(self.sim.process(
                 self._push(split_index, remote),
                 name=f"{self.node.name}.push.s{split_index}"))
-        if self.device_key is not None:
-            # Pool accounting: this operation is off the device's plate.
-            self.scheduler.note_done(self.node.node_id, self.device_key,
-                                     float(self._splits_by_index[
-                                         split_index].length))
+        # Pool accounting: this operation is off the device's plate.
+        self.scheduler.note_done(self.node.node_id, self.pool_key,
+                                 float(self._splits_by_index[
+                                     split_index].length))
         return out
 
     def _push(self, split_index: int,
@@ -505,5 +473,4 @@ class MapPhase:
                 continue    # owner is gone; recovery re-routes these runs
             for pid, run in runs:
                 self.managers[owner].add_run(pid, run)
-                if self.registry is not None:
-                    self.registry.mark_delivered(split_index, pid, owner)
+                self.registry.mark_delivered(split_index, pid, owner)

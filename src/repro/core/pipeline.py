@@ -4,8 +4,9 @@ Five stages — Input, Stage, Kernel, Retrieve, Output — connected by FIFO
 stores, with data buffers interlocking them into two groups:
 
 * the **input group** (Input, Stage, Kernel) shares ``buffering`` input
-  buffer slots: the Input stage acquires a slot before loading a chunk and
-  the Kernel stage releases it when the launch finishes;
+  buffer slots: the Input stage pulls its next work item, then acquires
+  a slot before loading the chunk, and the Kernel stage releases it when
+  the launch finishes;
 * the **output group** (Kernel, Retrieve, Output) shares ``buffering``
   output slots: the Kernel acquires one before launching and the Output
   stage releases it after sinking the result.
@@ -29,7 +30,7 @@ from repro.simt.core import Interrupt, Simulator
 from repro.simt.resources import BufferPool, Store, StoreClosed
 from repro.simt.trace import Timeline
 
-__all__ = ["Pipeline", "StageFn"]
+__all__ = ["Pipeline", "StageFn", "pull_each"]
 
 # A stage function receives the payload and yields simulation events,
 # returning the (possibly transformed) payload for the next stage.
@@ -49,14 +50,14 @@ class Pipeline:
         Trace span label (typically the node name).
     buffering:
         1, 2 or 3 — the §III-D buffering level.
-    items:
-        Work-item descriptors consumed by ``read_fn`` (input splits for
-        the map pipeline, merged-run cursors for the reduce pipeline).
-        May be a lazy iterable: scheduler-fed pipelines pull their next
-        item only when the input stage is ready for it.  A ``read_fn``
-        may also return :data:`Pipeline.END` to terminate the input
-        stream early (e.g. a device pool with no work left for this
-        device).
+    pull_fn:
+        Work acquisition: a process-style generator function returning
+        the next work item for ``read_fn`` (an input split for the map
+        pipeline, a reduce-input chunk for the reduce pipeline), or
+        :data:`Pipeline.END` once the stream is over.  The input stage
+        pulls *before* it asks for a buffer slot, so a pull that waits
+        (a device-pool gate) never holds a slot.  :func:`pull_each`
+        adapts a fixed list.
     read_fn, kernel_fn, output_fn:
         Mandatory stage bodies (process-style generators).
     stage_fn, retrieve_fn:
@@ -64,7 +65,7 @@ class Pipeline:
         (unified memory).
     """
 
-    #: Sentinel a ``read_fn`` may return to end the input stream early.
+    #: Sentinel a ``pull_fn`` returns to end the input stream.
     END = object()
 
     #: pipeline-instance tokens: a multi-device node runs several
@@ -75,7 +76,7 @@ class Pipeline:
 
     def __init__(self, sim: Simulator, timeline: Timeline, name: str,
                  instance: str, buffering: int,
-                 items: Iterable[Any],
+                 pull_fn: Callable[[], Generator],
                  read_fn: StageFn,
                  kernel_fn: StageFn,
                  output_fn: StageFn,
@@ -87,7 +88,7 @@ class Pipeline:
         self.timeline = timeline
         self.name = name
         self.instance = instance
-        self.items = items
+        self.pull_fn = pull_fn
         self.read_fn = read_fn
         self.stage_fn = stage_fn
         self.kernel_fn = kernel_fn
@@ -261,7 +262,10 @@ class Pipeline:
         return meta
 
     def _input_stage(self, downstream: Store) -> Generator:
-        for item in self.items:
+        while True:
+            item = yield from self.pull_fn()
+            if item is Pipeline.END:
+                break
             t_req = self.sim.now
             acq = self.in_pool.acquire()
             try:
@@ -277,11 +281,6 @@ class Pipeline:
             except Interrupt:
                 self.in_pool.release(slot)
                 raise
-            if payload is Pipeline.END:
-                # The reader declared the stream over (scheduler-fed
-                # device pools): hand the slot back and stop pulling.
-                self.in_pool.release(slot)
-                break
             # Batched fan-out: a read_fn may return a list of payloads
             # (one modeled item sliced into several simulation batches).
             # The whole item shares ONE input slot — the §III-D interlock
@@ -433,3 +432,13 @@ class Pipeline:
             self._wait_edge("output", "queue", upstream.name,
                             t_req, t_req + queue_wait)
             self.outputs.append(sunk if sunk is not None else payload)
+
+
+def pull_each(items: Iterable[Any]) -> Callable[[], Generator]:
+    """A ``pull_fn`` handing out ``items`` in order, then ``END``."""
+    it = iter(items)
+
+    def pull() -> Generator:
+        yield from ()       # a generator function, as pull_fn must be
+        return next(it, Pipeline.END)
+    return pull

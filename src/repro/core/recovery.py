@@ -56,9 +56,8 @@ class SpeculationController:
 
     def __init__(self, sim: Simulator, app: MapReduceApp, config: JobConfig,
                  backend: StorageBackend, health: ClusterHealth,
-                 devices: Sequence, nodes: Sequence,
-                 costs: HostCosts = DEFAULT_HOST_COSTS,
-                 scheduler: Optional[Scheduler] = None):
+                 devices: Sequence, nodes: Sequence, scheduler: Scheduler,
+                 costs: HostCosts = DEFAULT_HOST_COSTS):
         self.sim = sim
         self.app = app
         self.config = config
@@ -105,14 +104,9 @@ class SpeculationController:
         """Node to run a speculative copy on — delegated to the job's
         scheduling policy (the base policy picks the least-loaded
         surviving node other than ``exclude``)."""
-        if self.scheduler is not None:
-            return self.scheduler.pick_helper(
-                exclude, self.health.alive_nodes, self.active,
-                split_index=split_index)
-        candidates = [n for n in self.health.alive_nodes if n != exclude]
-        if not candidates:
-            return None
-        return min(candidates, key=lambda n: (self.active[n], n))
+        return self.scheduler.pick_helper(
+            exclude, self.health.alive_nodes, self.active,
+            split_index=split_index)
 
     def launch_copy(self, split: Split, helper: int):
         """Start the speculative duplicate on ``helper``; returns its
@@ -170,7 +164,7 @@ def run_recovery(sim: Simulator, timeline: Timeline, cluster,
     #    stop reducing): the scheduling policy picks each partition's new
     #    owner (the base policy keeps the original deterministic spread;
     #    load-aware policies balance ownership).
-    for gone in getattr(health, "gone_nodes", health.dead_nodes):
+    for gone in health.gone_nodes:
         for pid in registry.owned_by(gone):
             new_owner = scheduler.rehome(pid, survivors, registry)
             registry.reassign(pid, new_owner)
@@ -179,8 +173,7 @@ def run_recovery(sim: Simulator, timeline: Timeline, cluster,
     #    departed (drained) node still serves its durable spill — that is
     #    what makes a drain cheaper than a crash.
     repushes, reexec = registry.recovery_plan(
-        splits, health.alive,
-        durable_alive=getattr(health, "storage_alive", None))
+        splits, health.alive, durable_alive=health.storage_alive)
     n_repushed = sum(len(entries) for entries in repushes.values())
     for split in reexec:
         timeline.record("recovery.reexec", "job", sim.now, sim.now,

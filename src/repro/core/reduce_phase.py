@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Generator, List, Optional, Sequence, Tuple
+from typing import Any, Generator, List, Sequence, Tuple
 
 from repro.hw.node import Node
 from repro.ocl.kernel import KernelCost
@@ -46,7 +46,7 @@ from repro.core.data import KeyGroupChunk, ReduceOutput
 from repro.core.faults import FaultPlan, TaskFailedError
 from repro.core.intermediate import IntermediateManager
 from repro.core.io import StorageBackend
-from repro.core.pipeline import Pipeline
+from repro.core.pipeline import Pipeline, pull_each
 
 __all__ = ["ReducePhase"]
 
@@ -85,9 +85,9 @@ class ReducePhase:
                  app: MapReduceApp, config: JobConfig,
                  backend: StorageBackend, timeline: Timeline,
                  manager: IntermediateManager,
+                 pids: Sequence[int],
                  costs: HostCosts = DEFAULT_HOST_COSTS,
-                 faults: FaultPlan | None = None,
-                 pids: Optional[Sequence[int]] = None):
+                 faults: FaultPlan | None = None):
         self.sim = sim
         self.node = node
         self.device = device
@@ -98,10 +98,9 @@ class ReducePhase:
         self.manager = manager
         self.costs = costs
         self.faults = faults
-        # ``pids`` restricts this pipeline to a subset of the manager's
-        # owned partitions (device pools split a node's partitions across
-        # several concurrent reduce pipelines); ``None`` keeps them all.
-        self.pids = list(pids) if pids is not None else None
+        # The manager's owned partitions this pipeline reduces, in order
+        # (a device pool splits a node's partitions across its devices).
+        self.pids = list(pids)
         self.output_pairs: dict[int, list] = {}
         self.keys_reduced = 0
         self._pid_by_index: dict[int, int] = {}
@@ -124,7 +123,7 @@ class ReducePhase:
                         name=f"{node.name}.reduce.{group}{i}"))
         self.pipeline = Pipeline(
             sim, timeline, name="reduce", instance=node.name,
-            buffering=config.buffering, items=items,
+            buffering=config.buffering, pull_fn=pull_each(items),
             read_fn=self._read, kernel_fn=self._kernel,
             output_fn=self._write,
             stage_fn=stage_fn, retrieve_fn=retrieve_fn)
@@ -162,8 +161,7 @@ class ReducePhase:
         items: List[_ReduceItem] = []
         index = 0
         wid = 0
-        owned = self.pids if self.pids is not None else self.manager.owned
-        for pid in owned:
+        for pid in self.pids:
             runs, disk_bytes, disk_raw = self.manager.read_partition(pid)
             if not runs:
                 continue

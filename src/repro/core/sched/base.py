@@ -7,17 +7,16 @@ and a private copy of the same affinity logic in the recovery path.  The
 
 * **planning** — :meth:`plan` seeds the policy with the job's splits (and
   :meth:`plan_recovery` with the splits a crash forces to re-execute);
-* **work acquisition** — each map pipeline pulls its next split with
-  :meth:`next_for` (or, for multi-device nodes, the waiting-capable
-  :meth:`pool_acquire`), so placement decisions happen at *runtime* under
-  whatever policy is installed;
+* **work acquisition** — each map pipeline pulls its next split through
+  the device-pool gate :meth:`pool_acquire`, so placement decisions
+  happen at *runtime* under whatever policy is installed;
 * **re-homing & speculation** — a dead node's partitions move to
   survivors through :meth:`rehome`, and speculative copies pick their
   helper node through :meth:`pick_helper`, so fault tolerance is a
   scheduler re-enqueue rather than bespoke assignment code;
 * **elastic membership** — :meth:`node_joined` / :meth:`node_left`
   maintain the policy's active set mid-job: a joining node starts
-  pulling queued work through the same ``next_for`` seam (the pull
+  pulling queued work through the same ``pool_acquire`` seam (the pull
   interface is what makes joins zero engine change), and a leaving
   node's queued work flows back to the remaining actives;
 * **observability** — every placement leaves a zero-length
@@ -25,19 +24,22 @@ and a private copy of the same affinity logic in the recovery path.  The
   locality hits/misses and a per-node placement histogram accumulate in
   :meth:`stats`, and a live telemetry hub gets queue-depth gauges.
 
-Heterogeneous device pools
---------------------------
+Device pools
+------------
 
-A node may run several pipelines concurrently (e.g. CPU+GPU).  Each
-pipeline registers its device with :meth:`register_device` and acquires
-work through :meth:`pool_acquire`, which adds a speed-aware gate on top
-of the policy's choice: the pool's fastest device pulls freely (keeping
-its pipeline prefetched), while a slower device keeps at most one
-operation in flight and *retires* — ends its pipeline — once a single
-operation on it would take longer than the rest of the pool needs to
-drain everything that is left.  That gate is what lets a 20x-slower CPU
-contribute its proportional share without ever extending the makespan
-by hoarding tail operations.
+Every map pipeline drives one device, and every device belongs to its
+node's pool: the pipeline registers it with :meth:`register_device` and
+acquires work through :meth:`pool_acquire`.  A node with one device is
+a pool of one, whose device is trivially the fastest, so it pulls
+freely and never waits.  A node may also run several pipelines
+concurrently (e.g. CPU+GPU); then the gate adds a speed-aware rule on
+top of the policy's choice: the pool's fastest device pulls freely
+(keeping its pipeline prefetched), while a slower device keeps at most
+one operation in flight and *retires* — ends its pipeline — once a
+single operation on it would take longer than the rest of the pool
+needs to drain everything that is left.  That gate is what lets a
+20x-slower CPU contribute its proportional share without ever extending
+the makespan by hoarding tail operations.
 """
 
 from __future__ import annotations
@@ -128,8 +130,8 @@ class Scheduler:
     def node_joined(self, node_id: int) -> None:
         """A standby node became active mid-job: admit it to the active
         set and let the policy fold it into its queues.  The node starts
-        pulling work through the ordinary ``next_for`` path immediately
-        after."""
+        pulling work through the ordinary ``pool_acquire`` path
+        immediately after."""
         if node_id not in self.active:
             self.active = sorted(set(self.active) | {node_id})
         self.joins += 1
@@ -181,16 +183,6 @@ class Scheduler:
         raise NotImplementedError
 
     # -- work acquisition --------------------------------------------------
-    def next_for(self, node_id: int, phase: str = "map"
-                 ) -> Optional["Split"]:
-        """Pull the next operation for a single-device node pipeline."""
-        split = self._peek(node_id, phase)
-        if split is None:
-            return None
-        self._take(node_id, split, phase)
-        self._note_place(node_id, split, phase)
-        return split
-
     def register_device(self, node_id: int, key: str, speed: float) -> None:
         """Declare one device of ``node_id``'s pool (``speed`` is a
         relative throughput proxy, e.g. effective GFLOP/s)."""
@@ -198,22 +190,18 @@ class Scheduler:
         if key not in pool:
             pool[key] = _PoolDevice(key, speed, order=len(pool))
 
-    def note_done(self, node_id: int, key: Optional[str],
-                  cost: float) -> None:
+    def note_done(self, node_id: int, key: str, cost: float) -> None:
         """A granted operation completed on ``(node_id, key)`` — shrink
         the device's in-flight backlog and wake pool waiters."""
-        if key is None:
-            return
-        dev = self._pools.get(node_id, {}).get(key)
-        if dev is None:
-            return
+        dev = self._pools[node_id][key]
         dev.pending = max(0.0, dev.pending - cost)
         self._fire_pool(node_id)
 
     def pool_acquire(self, node_id: int, key: str, phase: str = "map"
                      ) -> Generator:
-        """Pull work for one device of a multi-device node (process-style:
-        may yield simulation events while waiting for the gate).
+        """Pull work for one device of ``node_id``'s pool (process-style:
+        may yield simulation events while waiting for the gate; a pool
+        of one never waits).
 
         Returns the granted split, or ``None`` when this device is done
         for good (pool drained, or the device retired because the rest of

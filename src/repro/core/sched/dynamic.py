@@ -104,7 +104,7 @@ class DynamicLocalityScheduler(Scheduler):
     # -- elastic membership ------------------------------------------------
     def _node_joined(self, node_id: int) -> None:
         # The global pool needs no rebalancing — the joiner's first
-        # ``next_for`` steals the oldest split.  But locality preference
+        # pull steals the oldest split.  But locality preference
         # is per-node state built at ``add`` time, so (re)build the
         # joiner's local queue for any pooled split it holds a replica of
         # (possible when the job shares a DFS laid out over more hardware

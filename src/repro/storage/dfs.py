@@ -107,15 +107,11 @@ class DFS:
 
     def _replica_alive(self, node: int) -> bool:
         """Can this replica still serve reads?  A *departed* (drained)
-        node can — decommissioned disks stay readable until the job ends
-        — so prefer the health view's ``storage_alive`` when it has one;
-        a crashed node's disk is gone either way."""
+        node can — decommissioned disks stay readable until the job ends;
+        a crashed node's disk is gone."""
         if self.health is None:
             return True
-        can_serve = getattr(self.health, "storage_alive", None)
-        if can_serve is not None:
-            return can_serve(node)
-        return self.health.alive(node)
+        return self.health.storage_alive(node)
 
     # -- namespace -----------------------------------------------------------
     def exists(self, path: str) -> bool:

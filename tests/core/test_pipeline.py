@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.pipeline import Pipeline
+from repro.core.pipeline import Pipeline, pull_each
 from repro.simt import Simulator, Timeline
 
 
@@ -24,7 +24,7 @@ def build_pipeline(buffering, n_items, t_read, t_kernel, t_output,
 
     pipe = Pipeline(
         sim, tl, name="test", instance="n0", buffering=buffering,
-        items=list(range(n_items)),
+        pull_fn=pull_each(range(n_items)),
         read_fn=mk("read", t_read),
         kernel_fn=mk("kernel", t_kernel),
         output_fn=mk("output", t_output),
@@ -116,7 +116,8 @@ def test_items_processed_in_order():
 def test_invalid_buffering_rejected():
     sim = Simulator()
     with pytest.raises(ValueError):
-        Pipeline(sim, Timeline(), "x", "n0", 0, [], None, None, None)
+        Pipeline(sim, Timeline(), "x", "n0", 0, pull_each([]), None, None,
+                 None)
 
 
 def test_elapsed_recorded_in_timeline():
@@ -132,3 +133,52 @@ def test_overlap_invariant_sum_exceeds_elapsed():
     total = sum(tl.occupied_time(f"test.{s}")
                 for s in ("input", "kernel", "output"))
     assert total > pipe.elapsed * 1.5
+
+
+def test_pull_happens_before_the_input_slot():
+    """The input stage pulls item k+1 while item k still holds the only
+    input slot (B=1), so a pull that waits never sits on a buffer."""
+    sim = Simulator()
+    log = []
+    items = iter(range(4))
+
+    def pull():
+        yield from ()
+        item = next(items, Pipeline.END)
+        log.append(("pull", item, pipe.in_pool.outstanding))
+        return item
+
+    def stage(name, dur):
+        def fn(payload):
+            yield sim.timeout(dur)
+            log.append((name, payload))
+            return payload
+        return fn
+
+    pipe = Pipeline(sim, Timeline(), "test", "n0", 1, pull,
+                    read_fn=stage("read", 1.0),
+                    kernel_fn=stage("kernel", 1.0),
+                    output_fn=stage("output", 0.1))
+    pipe.run()
+    sim.run()
+    assert pipe.outputs == [0, 1, 2, 3]
+    for k in range(3):
+        pulled = log.index(("pull", k + 1, 1))    # slot held by item k
+        assert pulled < log.index(("kernel", k))  # kernel k frees it
+    assert [e for e in log if e[0] == "pull"][-1][1] is Pipeline.END
+
+
+def test_pull_end_stops_the_stream_without_taking_a_slot():
+    sim = Simulator()
+
+    def pull():
+        yield sim.timeout(0.5)      # a pull may wait, e.g. at a pool gate
+        return Pipeline.END
+
+    pipe = Pipeline(sim, Timeline(), "test", "n0", 2, pull,
+                    read_fn=None, kernel_fn=None, output_fn=None)
+    pipe.run()
+    sim.run()
+    assert pipe.outputs == []
+    assert pipe.elapsed == 0.5
+    assert pipe.in_pool.acquired == 0

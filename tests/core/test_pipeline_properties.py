@@ -2,7 +2,7 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.pipeline import Pipeline
+from repro.core.pipeline import Pipeline, pull_each
 from repro.simt import Simulator, Timeline
 
 
@@ -19,7 +19,7 @@ def run_random_pipeline(durations, buffering):
         return fn
 
     pipe = Pipeline(sim, tl, name="p", instance="n", buffering=buffering,
-                    items=list(range(len(durations))),
+                    pull_fn=pull_each(range(len(durations))),
                     read_fn=stage(0), kernel_fn=stage(1),
                     output_fn=stage(2))
     pipe.run()

@@ -49,11 +49,26 @@ def make_dfs_backend(nodes=4, block_size=1000):
     return sim, cluster, backend
 
 
+def run_gate(gen):
+    """Drive a pool_acquire generator that must not need to wait."""
+    try:
+        next(gen)
+    except StopIteration as stop:
+        return stop.value
+    raise AssertionError("pool gate yielded with no contention")
+
+
+def pull(sched, node_id, phase="map"):
+    """One pull by ``node_id``'s only device (a pool of one never waits)."""
+    sched.register_device(node_id, "cpu", speed=1.0)
+    return run_gate(sched.pool_acquire(node_id, "cpu", phase))
+
+
 def drain(sched, node_id, phase="map"):
     """All splits ``node_id`` pulls until the policy says stop."""
     out = []
     while True:
-        split = sched.next_for(node_id, phase)
+        split = pull(sched, node_id, phase)
         if split is None:
             return out
         out.append(split)
@@ -99,7 +114,7 @@ def test_static_does_not_steal():
     splits, backend = one_block_splits([(100, (0,)), (100, (0,))])
     sched = make_scheduler("static-affinity")
     sched.plan(splits, backend, 2)
-    assert sched.next_for(1) is None
+    assert pull(sched, 1) is None
     assert drain(sched, 0) == splits
 
 
@@ -153,8 +168,8 @@ def test_dynamic_interleaved_pull_is_all_local():
     splits, backend = one_block_splits(DYN_SPEC)
     sched = make_scheduler("dynamic-locality")
     sched.plan(splits, backend, 2)
-    order = [sched.next_for(0).index, sched.next_for(1).index,
-             sched.next_for(1).index, sched.next_for(0).index]
+    order = [pull(sched, 0).index, pull(sched, 1).index,
+             pull(sched, 1).index, pull(sched, 0).index]
     assert order == [0, 2, 3, 1]
     assert sched.locality_misses == 0
     assert sched.locality_hit_rate == 1.0
@@ -166,11 +181,11 @@ def test_oplevel_hands_out_largest_local_first():
     splits, backend = one_block_splits(DYN_SPEC)
     sched = make_scheduler("oplevel")
     sched.plan(splits, backend, 2)
-    assert sched.next_for(0).index == 1          # 300 is 0's largest local
-    assert sched.next_for(1).index == 2          # 200 is 1's largest local
-    assert sched.next_for(1).index == 3          # local 50 beats remote 100
-    assert sched.next_for(1).index == 0          # steal the remainder
-    assert sched.next_for(0) is None
+    assert pull(sched, 0).index == 1          # 300 is 0's largest local
+    assert pull(sched, 1).index == 2          # 200 is 1's largest local
+    assert pull(sched, 1).index == 3          # local 50 beats remote 100
+    assert pull(sched, 1).index == 0          # steal the remainder
+    assert pull(sched, 0) is None
 
 
 def test_oplevel_steals_largest_remote():
@@ -178,7 +193,7 @@ def test_oplevel_steals_largest_remote():
                                         (90, (0,))])
     sched = make_scheduler("oplevel")
     sched.plan(splits, backend, 2)
-    assert sched.next_for(1).index == 1          # largest anywhere
+    assert pull(sched, 1).index == 1          # largest anywhere
 
 
 def test_oplevel_equal_lengths_break_ties_on_lowest_index():
@@ -246,15 +261,6 @@ def test_recovery_plan_targets_survivors_only():
 
 
 # -- heterogeneous device-pool gate ---------------------------------------
-
-def run_gate(gen):
-    """Drive a pool_acquire generator that must not need to wait."""
-    try:
-        next(gen)
-    except StopIteration as stop:
-        return stop.value
-    raise AssertionError("pool gate yielded with no contention")
-
 
 def pool_sched(n_splits, length=100):
     splits, backend = one_block_splits([(length, (0,))] * n_splits)

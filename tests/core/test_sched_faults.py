@@ -11,6 +11,7 @@ import pytest
 
 from repro.apps import WordCountApp
 from repro.apps.datagen import wiki_text
+import repro.core.engine as engine_module
 from repro.core import JobConfig, run_glasswing
 from repro.core.faults import FaultPlan, NodeCrash
 from repro.core.sched import SCHEDULER_NAMES
@@ -97,3 +98,34 @@ def test_crash_during_recovery_window_all_policies():
         assert canonical(res) == canonical(ref), policy
         assert res.stats["leaked_buffer_slots"] == 0
         assert sorted(res.stats["dead_nodes"]) == [1, 3]
+
+
+def test_survivors_reduce_adopted_partitions_last(golden, monkeypatch):
+    """A survivor reduces its partitions in ownership order: its own
+    first, then the ones recovery re-homed to it, in adoption order —
+    not re-sorted by partition id."""
+    policy, ref = golden
+    built = []
+
+    class RecordingReducePhase(engine_module.ReducePhase):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(engine_module, "ReducePhase", RecordingReducePhase)
+    crash = NodeCrash(node=1, at=ref.map_time * 0.3)
+    res = run_wc(policy, faults=FaultPlan(node_crashes=(crash,)))
+    assert canonical(res) == canonical(ref)
+    total = NODES * ref.config.partitions_per_node
+    adopted_any = False
+    for rp in built:
+        node = rp.node.node_id
+        own = [pid for pid in range(total) if pid % NODES == node]
+        assert rp.pids == rp.manager.owned
+        assert rp.pids[:len(own)] == own
+        assert all(pid % NODES == crash.node for pid in rp.pids[len(own):])
+        adopted_any |= rp.pids != sorted(rp.pids)
+        # partitions are reduced (and their output written) in that order
+        assert list(rp.output_pairs) == \
+            [pid for pid in rp.pids if pid in rp.output_pairs]
+    assert adopted_any

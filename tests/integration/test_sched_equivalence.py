@@ -165,6 +165,27 @@ def test_device_pool_beats_best_single_device():
     assert set(by_device) == {"cpu", "gpu"} and min(by_device.values()) > 0
 
 
+@pytest.mark.parametrize("policy", POLICIES)
+def test_map_pipeline_pulls_before_taking_a_slot(policy):
+    """Single buffering: each node's pipeline pulls split k+1 from the
+    scheduler while split k still holds the only input slot (which its
+    kernel releases), not after that slot is freed."""
+    res = run_app("terasort", scheduler=policy, buffering=1)
+    kernel_end = {}
+    for span in res.timeline.by_category("map.kernel"):
+        key = (span.name, span.meta["chunk"])
+        kernel_end[key] = max(kernel_end.get(key, 0.0), span.end)
+    pulls = {}
+    for span in res.timeline.by_category("sched.place"):
+        if span.meta["phase"] == "map":
+            pulls.setdefault(span.name, []).append(span)
+    assert sum(len(p) for p in pulls.values()) >= 4
+    for node, spans in pulls.items():
+        spans.sort(key=lambda s: s.start)
+        for prev, nxt in zip(spans, spans[1:]):
+            assert nxt.start < kernel_end[(node, prev.meta["split"])]
+
+
 # -- observability end-to-end ----------------------------------------------
 
 def test_placement_is_visible_everywhere():
@@ -192,6 +213,8 @@ def test_placement_is_visible_everywhere():
         assert placement["placements"] > 0
         assert sum(placement["by_node"].values()) == \
             placement["placements"]
+        # a single device is a pool of one: its placements carry it too
+        assert placement["by_device"] == {"cpu": placement["placements"]}
     # explain() mentions the placement spread
     from repro.obs.report import PipelineReport
     text = PipelineReport(res.timeline, "map").explain()
